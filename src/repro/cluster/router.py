@@ -56,7 +56,7 @@ from repro.obs.metrics import (
     default_registry,
     relabel_prometheus,
 )
-from repro.server.app import MAX_BODY_BYTES, _HTTPError
+from repro.server.app import MAX_BODY_BYTES, WRITE_BUFFER_BYTES, _HTTPError
 from repro.server.jobs import TERMINAL_STATES
 from repro.service.cache import cache_key
 from repro.service.spec import SimJobSpec
@@ -545,6 +545,9 @@ class running_cluster:
 
 class _RouterHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # One send per response, as in the gateway's handler.
+    wbufsize = WRITE_BUFFER_BYTES
+    disable_nagle_algorithm = True
     server: ClusterRouter  # narrowed type
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)

@@ -5,12 +5,12 @@ callers POST :class:`~repro.service.spec.SimJobSpec` JSON and get
 content-addressed, cached, coalesced simulation results back.
 
 * :mod:`repro.server.config` — :class:`ServerConfig`, every tunable;
-* :mod:`repro.server.metrics` — streaming latency histograms and the
-  Prometheus ``/metrics`` registry;
 * :mod:`repro.server.jobs` — job lifecycle records and the bounded
   job store behind ``/v1/jobs``;
 * :mod:`repro.server.dispatcher` — the bounded queue, in-flight
   request coalescing, and the background execution thread;
+* :mod:`repro.server.wire` — the one JSON encoder, splicing stored
+  result text into response envelopes;
 * :mod:`repro.server.app` — routes, request telemetry, lifecycle
   (:func:`create_server`, :class:`running_server`);
 * :mod:`repro.server.client` — a urllib client speaking the protocol
@@ -27,12 +27,12 @@ Quick start::
         print(job["status"], job["speedups"])
 """
 
+from repro.obs.metrics import MetricsRegistry, StreamingHistogram
 from repro.server.app import ReproServer, create_server, running_server
 from repro.server.client import ServerClient, ServerError
 from repro.server.config import ServerConfig
 from repro.server.dispatcher import Backpressure, Dispatcher
 from repro.server.jobs import Job, JobStore
-from repro.server.metrics import MetricsRegistry, StreamingHistogram
 
 __all__ = [
     "Backpressure",

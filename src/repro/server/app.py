@@ -15,6 +15,10 @@ Endpoints::
 
 Every request is timed into a per-endpoint streaming histogram
 (p50/p95/p99 on ``/metrics``) and counted by (endpoint, status).
+
+Every JSON body goes through :func:`repro.server.wire.encode`, which
+splices each result's stored wire text into the envelope, and leaves
+with its headers in one send.
 """
 
 from __future__ import annotations
@@ -30,16 +34,22 @@ from repro import faults
 from repro.errors import ConfigError
 from repro.obs.build import build_info
 from repro.obs.log import configure_json_logging
-from repro.obs.metrics import default_registry
+from repro.obs.metrics import MetricsRegistry, default_registry
+from repro.server import wire
 from repro.server.config import ServerConfig
 from repro.server.dispatcher import Backpressure, Dispatcher
 from repro.server.jobs import JobStore
-from repro.server.metrics import MetricsRegistry
 from repro.service.cache import ResultCache
 from repro.service.spec import SimJobSpec
 
 #: Largest accepted request body (a 256-spec batch is ~100 KB).
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: Response write buffer. Headers and body of any response up to this
+#: size leave in one send; split sends (headers, then body) stall a
+#: keep-alive client on its delayed ACK for ~40 ms per response. A
+#: one-result envelope is ~10 KB.
+WRITE_BUFFER_BYTES = 64 * 1024
 
 
 class _HTTPError(Exception):
@@ -163,6 +173,12 @@ class running_server:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    #: Buffered response writes, flushed once per request by
+    #: ``handle_one_request``: one send per response.
+    wbufsize = WRITE_BUFFER_BYTES
+    #: Larger responses overflow the buffer into more than one send;
+    #: TCP_NODELAY keeps the tail from waiting on the peer's ACK.
+    disable_nagle_algorithm = True
     server: ReproServer  # narrowed type
 
     # ------------------------------------------------------------------
@@ -353,7 +369,7 @@ class _Handler(BaseHTTPRequestHandler):
         body = {
             "jobs": [
                 dict(
-                    job.to_dict(include_result=wait_seconds > 0),
+                    job.envelope(include_result=wait_seconds > 0),
                     disposition=disposition,
                 )
                 for job, disposition in jobs
@@ -378,17 +394,18 @@ class _Handler(BaseHTTPRequestHandler):
         # ?summary=1 truthy; ?summary=0 (or false/no) keeps the result.
         raw = query.get("summary", ["0"])[-1].lower()
         summary = raw not in ("0", "false", "no", "")
-        self._send_json(200, job.to_dict(include_result=not summary))
+        self._send_json(200, job.envelope(include_result=not summary))
         return 200
 
     def _get_result(self, spec_hash: str, _query) -> int:
-        result = self.server.cache.lookup(spec_hash)
-        if result is None:
+        entry = self.server.cache.lookup_entry(spec_hash)
+        if entry is None:
             raise _HTTPError(
                 404, f"no cached result for spec hash {spec_hash!r}"
             )
         self._send_json(
-            200, {"spec_hash": spec_hash, "result": result.to_dict()}
+            200,
+            {"spec_hash": spec_hash, "result": wire.RawJSON(entry.text)},
         )
         return 200
 
@@ -417,7 +434,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _send_json(
         self, status: int, obj, headers: Optional[dict] = None
     ) -> None:
-        body = json.dumps(obj, sort_keys=True).encode("utf-8")
+        body = wire.encode(obj)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))

@@ -17,9 +17,8 @@ import urllib.request
 from email.utils import parsedate_to_datetime
 from typing import Mapping, Optional, Sequence, Union
 
-from repro.obs.metrics import StreamingHistogram
+from repro.obs.metrics import StreamingHistogram, parse_prometheus
 from repro.server.jobs import TERMINAL_STATES
-from repro.server.metrics import parse_prometheus
 from repro.service.spec import SimJobSpec
 
 SpecLike = Union[SimJobSpec, Mapping]

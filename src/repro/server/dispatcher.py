@@ -36,12 +36,12 @@ from typing import Optional
 
 from repro import faults
 from repro.obs.log import correlation_scope, get_logger
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import instant, span
 from repro.server.config import ServerConfig
 from repro.server.jobs import Job, JobStore
-from repro.server.metrics import MetricsRegistry
 from repro.service import api
-from repro.service.cache import ResultCache, cache_key
+from repro.service.cache import CacheEntry, ResultCache, cache_key
 from repro.service.config import ServiceConfig
 from repro.service.spec import SimJobSpec
 
@@ -145,7 +145,7 @@ class Dispatcher:
         self, spec: SimJobSpec, key: str, submit_span
     ) -> tuple[Job, str]:
         with span("server.cache_lookup", spec=key[:12]):
-            cached = self.cache.lookup(key)
+            cached = self.cache.lookup_entry(key)
         if cached is not None:
             job = self.jobs.create(spec, key)
             self.metrics.inc("cache_hits_total")
@@ -154,9 +154,10 @@ class Dispatcher:
                 api.SimJobResult(
                     spec=spec,
                     status="ok",
-                    result=cached,
+                    result=cached.result,
                     from_cache=True,
                 ),
+                cached,
             )
             submit_span.set(disposition="cached")
             _logger.info(
@@ -430,11 +431,15 @@ class Dispatcher:
                     "elapsed_seconds": elapsed / len(batch),
                 },
             )
+            entry = None
             if outcome.ok and outcome.result is not None:
+                # One entry for the cache and every attached job: the
+                # wire text is encoded once, for all of them.
+                entry = CacheEntry(outcome.result)
                 with span(
                     "server.cache_write", spec=execution.key[:12]
                 ):
-                    self.cache.put(execution.spec, outcome.result)
+                    self.cache.put_entry(execution.spec, entry)
             # Pop the in-flight entry *after* the cache write above: a
             # submitter who misses the registry is then guaranteed to
             # hit the cache, so no duplicate execution can slip through
@@ -444,7 +449,7 @@ class Dispatcher:
                 self._inflight.pop(execution.key, None)
                 attached = list(execution.job_ids)
             for job_id in attached:
-                self.jobs.finish(job_id, outcome)
+                self.jobs.finish(job_id, outcome, entry)
 
     def _record_resilience(self, outcome: api.SimJobResult) -> None:
         """Count one outcome's resilience events into ``/metrics``.

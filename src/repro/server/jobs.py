@@ -20,7 +20,9 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.server.wire import RawJSON
 from repro.service.api import SimJobResult
+from repro.service.cache import CacheEntry
 from repro.service.spec import SimJobSpec
 
 #: Lifecycle states.
@@ -59,12 +61,19 @@ class Job:
     #: had already started (in-flight coalescing).
     coalesced: bool = False
     outcome: Optional[SimJobResult] = None
+    #: The outcome's result with its wire text (shared with the result
+    #: cache), set when the job finishes with a result.
+    entry: Optional[CacheEntry] = None
     created: float = field(default_factory=time.monotonic)
     finished: Optional[float] = None
     done_event: threading.Event = field(default_factory=threading.Event)
 
-    def to_dict(self, include_result: bool = True) -> dict:
-        """The ``GET /v1/jobs/{id}`` envelope."""
+    def envelope(self, include_result: bool = True) -> dict:
+        """The ``GET /v1/jobs/{id}`` envelope, for :func:`wire.encode`.
+
+        The result rides as :class:`~repro.server.wire.RawJSON` over
+        the entry's stored text, so it is never re-encoded per response.
+        """
         out = {
             "id": self.id,
             "status": self.status,
@@ -72,10 +81,12 @@ class Job:
             "coalesced": self.coalesced,
         }
         if self.outcome is not None:
-            envelope = self.outcome.to_dict(include_result=include_result)
+            envelope = self.outcome.to_dict(include_result=False)
             envelope.pop("key", None)  # already present as spec_hash
             envelope.pop("status", None)  # lifecycle status wins
             out.update(envelope)
+            if include_result and self.entry is not None:
+                out["result"] = RawJSON(self.entry.text)
         else:
             out["spec"] = self.spec.to_dict()
         return out
@@ -112,13 +123,24 @@ class JobStore:
             if job is not None and job.status == QUEUED:
                 job.status = RUNNING
 
-    def finish(self, job_id: str, outcome: SimJobResult) -> None:
-        """Record the outcome and wake any ``?wait=`` blockers."""
+    def finish(
+        self,
+        job_id: str,
+        outcome: SimJobResult,
+        entry: Optional[CacheEntry] = None,
+    ) -> None:
+        """Record the outcome and wake any ``?wait=`` blockers.
+
+        ``entry`` is the cache entry holding ``outcome.result`` (``None``
+        for an outcome without one); the cache stores the same entry, so
+        its wire text is encoded once for every response.
+        """
         with self._lock:
             job = self._jobs.get(job_id)
             if job is None:
                 return
             job.outcome = outcome
+            job.entry = entry
             job.status = classify_outcome(outcome)
             job.finished = time.monotonic()
             self._finished[job_id] = None

@@ -6,6 +6,11 @@ the spec *or* to the package version invalidates cleanly. The disk
 layer stores one JSON file per key (spec alongside result, for
 auditability) and backfills the memory layer on hit.
 
+Each memory-layer entry is a :class:`CacheEntry`: the result plus its
+wire JSON text, encoded once and then reused by every response that
+carries the result (the HTTP gateway splices it into its envelopes
+instead of re-encoding ~10 KB per hit).
+
 The cache is safe to share across threads (the HTTP gateway serves
 ``get``/``put`` from many request threads at once): the memory layer is
 guarded by a lock, and disk writes go through a temp file renamed into
@@ -76,49 +81,59 @@ def result_checksum(result_dict: dict) -> str:
     ).hexdigest()
 
 
+class CacheEntry:
+    """One cached result and its wire JSON text.
+
+    :attr:`text` is ``json.dumps(result.to_dict(), sort_keys=True)``:
+    exactly the bytes ``json.dumps(..., sort_keys=True)`` emits for the
+    result wherever it nests in a larger document. It is encoded on
+    first use (or given up front, from the parsed dict of a disk hit)
+    and kept for every later use.
+    """
+
+    __slots__ = ("result", "_text")
+
+    def __init__(
+        self, result: NetworkResult, text: Optional[str] = None
+    ) -> None:
+        self.result = result
+        self._text = text
+
+    @property
+    def text(self) -> str:
+        # Threads racing the first use each encode identical text;
+        # whichever store lands last is as good as the other.
+        if self._text is None:
+            self._text = json.dumps(self.result.to_dict(), sort_keys=True)
+        return self._text
+
+
 class ResultCache:
-    """LRU of :class:`NetworkResult` objects, optionally disk-backed.
+    """LRU of :class:`CacheEntry` objects, optionally disk-backed.
 
     ``max_entries`` bounds the in-memory layer (default
     :data:`DEFAULT_MAX_ENTRIES`; ``0`` disables it); the disk layer
     (when a ``directory`` is given) keeps everything ever stored — it
     is the content-addressed archive, bounded only by disk.
-    ``capacity`` is accepted as a keyword alias of ``max_entries`` for
-    backwards compatibility.
     """
 
     def __init__(
         self,
-        max_entries: Optional[int] = None,
+        max_entries: int = DEFAULT_MAX_ENTRIES,
         directory: str | Path | None = None,
-        *,
-        capacity: Optional[int] = None,
     ) -> None:
-        if max_entries is not None and capacity is not None:
-            raise ValueError(
-                "pass max_entries or its alias capacity, not both"
-            )
-        if max_entries is None:
-            max_entries = (
-                capacity if capacity is not None else DEFAULT_MAX_ENTRIES
-            )
         if max_entries < 0:
             raise ValueError(
                 f"max_entries must be >= 0, got {max_entries}"
             )
         self.max_entries = max_entries
         self.directory = Path(directory) if directory is not None else None
-        self._memory: OrderedDict[str, NetworkResult] = OrderedDict()
+        self._memory: OrderedDict[str, CacheEntry] = OrderedDict()
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
         self.disk_hits = 0
         self.checksum_failures = 0
-
-    @property
-    def capacity(self) -> int:
-        """Backwards-compatible alias of :attr:`max_entries`."""
-        return self.max_entries
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -142,9 +157,17 @@ class ResultCache:
     def lookup(self, key: str) -> Optional[NetworkResult]:
         """The cached result stored under content address ``key``.
 
-        This is what serves ``GET /v1/results/{spec_hash}``: callers
-        that already hold a content hash don't need to reconstruct the
-        spec to ask for its result.
+        Callers that already hold a content hash don't need to
+        reconstruct the spec to ask for its result.
+        """
+        entry = self.lookup_entry(key)
+        return entry.result if entry is not None else None
+
+    def lookup_entry(self, key: str) -> Optional[CacheEntry]:
+        """The cached entry (result and wire text) under ``key``.
+
+        This is what serves gateway hits: the entry's text is encoded
+        at most once per memory-layer residency.
         """
         with self._lock:
             cached = self._memory.get(key)
@@ -153,25 +176,33 @@ class ResultCache:
                 self.hits += 1
                 return cached
         if self.directory is not None:
-            result = self._load_disk(key)
-            if result is not None:
+            entry = self._load_disk(key)
+            if entry is not None:
                 with self._lock:
-                    self._store_memory(key, result)
+                    self._store_memory(key, entry)
                     self.hits += 1
                     self.disk_hits += 1
-                return result
+                return entry
         with self._lock:
             self.misses += 1
         return None
 
     def put(self, spec: SimJobSpec, result: NetworkResult) -> str:
         """Store a result under its content address; returns the key."""
+        return self.put_entry(spec, CacheEntry(result))
+
+    def put_entry(self, spec: SimJobSpec, entry: CacheEntry) -> str:
+        """Store an entry under its content address; returns the key.
+
+        A caller that keeps ``entry`` shares its wire text with every
+        later hit.
+        """
         key = cache_key(spec)
         with self._lock:
-            self._store_memory(key, result)
+            self._store_memory(key, entry)
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
-            result_dict = result.to_dict()
+            result_dict = entry.result.to_dict()
             payload = {
                 "version": _code_version(),
                 "spec": spec.to_dict(),
@@ -193,16 +224,16 @@ class ResultCache:
         return key
 
     # ------------------------------------------------------------------
-    def _store_memory(self, key: str, result: NetworkResult) -> None:
+    def _store_memory(self, key: str, entry: CacheEntry) -> None:
         # Caller holds self._lock.
         if self.max_entries == 0:
             return
-        self._memory[key] = result
+        self._memory[key] = entry
         self._memory.move_to_end(key)
         while len(self._memory) > self.max_entries:
             self._memory.popitem(last=False)
 
-    def _load_disk(self, key: str) -> Optional[NetworkResult]:
+    def _load_disk(self, key: str) -> Optional[CacheEntry]:
         path = self._path(key)
         try:
             text = path.read_text()
@@ -223,7 +254,11 @@ class ResultCache:
                 default_registry().inc("cache_checksum_failures_total")
                 instant("cache.checksum_failure", key=key)
                 return None
-            return NetworkResult.from_dict(payload["result"])
+            result_dict = payload["result"]
+            return CacheEntry(
+                NetworkResult.from_dict(result_dict),
+                json.dumps(result_dict, sort_keys=True),
+            )
         except (OSError, ValueError, KeyError, TypeError):
             return None  # missing or corrupt: treat as a miss
 
@@ -242,7 +277,6 @@ class ResultCache:
                 "checksum_failures": self.checksum_failures,
                 "entries": len(self._memory),
                 "max_entries": self.max_entries,
-                "capacity": self.max_entries,  # legacy key
                 "directory": (
                     str(self.directory)
                     if self.directory is not None

@@ -50,6 +50,32 @@ class TestClusterServing:
         assert status == 200
         assert body == {"ready": True, "ready_shards": 2}
 
+    def test_keepalive_responses_leave_in_one_send(self, live_cluster):
+        """The router, like the gateway, writes each response in one
+        send, so a keep-alive client never waits on a delayed ACK."""
+        import http.client
+        import time
+        from urllib.parse import urlsplit
+
+        cluster = live_cluster(shards=2)
+        parts = urlsplit(cluster.url)
+        connection = http.client.HTTPConnection(
+            parts.hostname, parts.port, timeout=10
+        )
+        try:
+            connection.request("GET", "/readyz")  # connect, warm up
+            connection.getresponse().read()
+            started = time.perf_counter()
+            for _ in range(10):
+                connection.request("GET", "/readyz")
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+            elapsed = time.perf_counter() - started
+        finally:
+            connection.close()
+        assert elapsed < 0.2, f"10 keep-alive requests took {elapsed:.3f}s"
+
     def test_submit_executes_and_routes_by_content_hash(
         self, live_cluster
     ):

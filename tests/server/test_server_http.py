@@ -165,6 +165,28 @@ class TestPostJobs:
         finally:
             connection.close()
 
+    def test_keepalive_responses_leave_in_one_send(self, live_server):
+        """Headers and body go out in one write. Split writes stall a
+        keep-alive client on its delayed ACK, ~40 ms per response."""
+        import http.client
+
+        server, _ = live_server()
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            connection.request("GET", "/healthz")  # connect, warm up
+            connection.getresponse().read()
+            started = time.perf_counter()
+            for _ in range(10):
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+            elapsed = time.perf_counter() - started
+        finally:
+            connection.close()
+        assert elapsed < 0.2, f"10 keep-alive requests took {elapsed:.3f}s"
+
     def test_empty_batch_400(self, live_server):
         _, client = live_server()
         status, _, _ = client._request("POST", "/v1/jobs", {"jobs": []})
@@ -265,7 +287,7 @@ class TestMetricsEndpoint:
         assert summary["GET /healthz"]["count"] >= 1
 
     def test_counters_and_gauges_exposed(self, live_server):
-        from repro.server.metrics import parse_prometheus
+        from repro.obs.metrics import parse_prometheus
 
         _, client = live_server()
         client.submit(cheap_spec(batch=16), wait=30)

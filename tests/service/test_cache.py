@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.service import api, pool
-from repro.service.cache import ResultCache, cache_key
+from repro.service.cache import CacheEntry, ResultCache, cache_key
 from repro.service.spec import SimJobSpec
 from repro.system.design import DesignPoint
 from repro.system.training import NetworkResult, PhaseTimes
@@ -51,7 +51,7 @@ class TestMemoryLayer:
         assert cache.stats()["hits"] == 1
 
     def test_lru_evicts_oldest(self):
-        cache = ResultCache(capacity=2)
+        cache = ResultCache(max_entries=2)
         specs = [
             SimJobSpec(network="MLP1", batch=b, **CHEAP)
             for b in (16, 32, 64)
@@ -63,7 +63,7 @@ class TestMemoryLayer:
         assert cache.get(specs[2]) is not None
 
     def test_lru_touch_on_get(self):
-        cache = ResultCache(capacity=2)
+        cache = ResultCache(max_entries=2)
         specs = [
             SimJobSpec(network="MLP1", batch=b, **CHEAP)
             for b in (16, 32, 64)
@@ -75,8 +75,8 @@ class TestMemoryLayer:
         assert cache.get(specs[0]) is not None
         assert cache.get(specs[1]) is None
 
-    def test_capacity_zero_disables_memory(self, spec):
-        cache = ResultCache(capacity=0)
+    def test_max_entries_zero_disables_memory(self, spec):
+        cache = ResultCache(max_entries=0)
         cache.put(spec, _fake_result(0.0))
         assert len(cache) == 0
 
@@ -117,6 +117,58 @@ class TestDiskLayer:
         cache.put(spec, _fake_result(1.0))
         (tmp_path / f"{cache_key(spec)}.json").write_text("{not json")
         assert ResultCache(directory=tmp_path).get(spec) is None
+
+
+class TestWireText:
+    """Each entry's wire text is encoded once and reused."""
+
+    def test_text_is_the_sorted_dump_of_the_result(self, spec):
+        cache = ResultCache()
+        result = _fake_result(0.5)
+        key = cache.put(spec, result)
+        entry = cache.lookup_entry(key)
+        assert entry.result is result
+        assert entry.text == json.dumps(result.to_dict(), sort_keys=True)
+        assert cache.lookup_entry(key) is entry  # same text next time
+
+    def test_text_encoded_once_then_reused(self, spec, monkeypatch):
+        calls = []
+        real = NetworkResult.to_dict
+        monkeypatch.setattr(
+            NetworkResult,
+            "to_dict",
+            lambda self: calls.append(1) or real(self),
+        )
+        entry = CacheEntry(_fake_result(0.5))
+        first = entry.text
+        assert entry.text is first
+        assert len(calls) == 1
+
+    def test_put_entry_shares_the_callers_entry(self, spec):
+        cache = ResultCache()
+        entry = CacheEntry(_fake_result(0.5))
+        key = cache.put_entry(spec, entry)
+        assert cache.lookup_entry(key) is entry
+        assert cache.lookup(key) is entry.result
+
+    def test_disk_hit_text_comes_from_the_parsed_dict(
+        self, tmp_path, spec, monkeypatch
+    ):
+        result = _fake_result(0.125)
+        ResultCache(directory=tmp_path).put(spec, result)
+        expected = json.dumps(result.to_dict(), sort_keys=True)
+        calls = []
+        real = NetworkResult.to_dict
+        monkeypatch.setattr(
+            NetworkResult,
+            "to_dict",
+            lambda self: calls.append(1) or real(self),
+        )
+        entry = ResultCache(directory=tmp_path).lookup_entry(
+            cache_key(spec)
+        )
+        assert entry.text == expected
+        assert calls == []
 
 
 class TestKeys:

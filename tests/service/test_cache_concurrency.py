@@ -141,6 +141,31 @@ class TestConcurrentDisk:
         _run_threads([worker(i) for i in range(4)])
         assert len(cache) <= 4
 
+    def test_racing_first_use_of_wire_text(self, spec):
+        """Threads racing an entry's first encode all read the same
+        complete text, and the entry keeps one of them."""
+        import sys
+
+        expected = json.dumps(_result(0.5).to_dict(), sort_keys=True)
+        seen: list[str] = []
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                cache = ResultCache()
+                key = cache.put(spec, _result(0.5))
+                _run_threads(
+                    [
+                        lambda: seen.append(cache.lookup_entry(key).text)
+                        for _ in range(8)
+                    ]
+                )
+                assert cache.lookup_entry(key).text == expected
+        finally:
+            sys.setswitchinterval(previous)
+        assert len(seen) == 160
+        assert set(seen) == {expected}
+
 
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -224,11 +249,7 @@ class TestBoundedDefaultCache:
             with pytest.warns(UserWarning, match="REPRO_CACHE_MAX"):
                 assert _env_cache_max_entries() == DEFAULT_MAX_ENTRIES
 
-    def test_capacity_alias(self):
-        assert ResultCache(capacity=3).max_entries == 3
-        assert ResultCache(max_entries=3).capacity == 3
-        with pytest.raises(ValueError):
-            ResultCache(max_entries=1, capacity=2)
+    def test_negative_max_entries_rejected(self):
         with pytest.raises(ValueError):
             ResultCache(max_entries=-1)
 
