@@ -109,7 +109,11 @@ def bench_cell(design, optimizer_name, optimizer_params, precision,
             return model, profile
         times[engine], (model, profile) = _best_of(run, repeats)
         results[engine] = profile
-        report[engine] = dict(model.periodic_report)
+        report[engine] = {
+            "fast_path": model.report.fast_path,
+            "fallback": model.report.fallback,
+            "warm_runs": model.report.warm_runs,
+        }
     identical = results["incremental"] == results["periodic"]
     return {
         "design": design.value,

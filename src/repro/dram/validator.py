@@ -221,12 +221,14 @@ def _validate_sweep(
     tRRD_L, tRRD_S, tFAW = t_.tRRD_L, t_.tRRD_S, t_.tFAW
     tCL, tCWL, tBURST = t_.tCL, t_.tCWL, t_.tBURST
 
-    # Per-kind classification, resolved once.
+    # Per-kind classification, resolved once and looked up by the
+    # member's plain value string (``CommandType.__hash__`` is a
+    # Python-level function; a str hashes in C, cached).
     ACT, PRE, RD, WR = (
         CommandType.ACT, CommandType.PRE, CommandType.RD, CommandType.WR
     )
     kind_flags = {
-        k: (
+        k._value_: (
             k in COLUMN_COMMANDS,
             k in INTERNAL_COLUMN_COMMANDS,
             k in EXTERNAL_COLUMN_COMMANDS,
@@ -258,7 +260,9 @@ def _validate_sweep(
     for cmd in trace:
         t = cmd.issue_cycle
         kind = cmd.kind
-        is_col, is_int, is_ext, is_alu, is_rd, is_wr = kind_flags[kind]
+        is_col, is_int, is_ext, is_alu, is_rd, is_wr = kind_flags[
+            kind._value_
+        ]
         rank = cmd.rank
 
         # Command-bus slots (the trace is cycle-sorted, so a reused
@@ -715,13 +719,14 @@ def validate_trace_columnar(
 def _check_dependencies(
     commands: Sequence[Command], timing: TimingParams
 ) -> None:
-    # One latency resolution per kind, one completion per command —
-    # the dep sweep itself is then pure integer compares.
+    # One latency resolution per kind (keyed by value string: no enum
+    # hashing per command), one completion per command — the dep sweep
+    # itself is then pure integer compares.
     latency = {
-        k: command_latency(k, timing) for k in CommandType
+        k._value_: command_latency(k, timing) for k in CommandType
     }
     done = [
-        c.issue_cycle + latency[c.kind] for c in commands
+        c.issue_cycle + latency[c.kind._value_] for c in commands
     ]
     for i, cmd in enumerate(commands):
         t = cmd.issue_cycle

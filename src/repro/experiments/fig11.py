@@ -51,10 +51,7 @@ def run_fig11(
     """Profile the update phase for the four plotted designs."""
     model = context.update_model()
     optimizer = context.optimizer()
-    profiles = {
-        d: model.profile(d, optimizer, context.precision)
-        for d in FIG11_DESIGNS
-    }
+    profiles = model.profiles(optimizer, context.precision, FIG11_DESIGNS)
     return Fig11Result(
         profiles=profiles,
         peak_internal=context.timing.peak_internal_bandwidth(

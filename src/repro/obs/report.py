@@ -1,8 +1,8 @@
 """The scheduler-engine flight recorder.
 
-:class:`EngineReport` replaces the ad-hoc ``periodic_report`` dict that
-used to live on :class:`~repro.system.update_model.UpdatePhaseModel`:
-a structured, mergeable record of what the engine actually did —
+:class:`EngineReport` is the ``report`` attribute of
+:class:`~repro.system.update_model.UpdatePhaseModel`: a structured,
+mergeable record of what the engine actually did —
 warm-sample escalation rungs, lock attempts and confirmations,
 super-period lengths, replayed-vs-simulated sweeps, *why* each
 fallback to full simulation happened, and which channel scheduling

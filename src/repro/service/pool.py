@@ -262,9 +262,9 @@ def _warm_shared_substrates(specs: Sequence[SimJobSpec]) -> None:
     for spec in shared.values():
         try:
             job = spec.resolve()
-            model = _shared_update_model(spec, job)
-            for design in job.designs:
-                model.profile(design, job.optimizer, job.precision)
+            _shared_update_model(spec, job).profiles(
+                job.optimizer, job.precision, job.designs
+            )
         except Exception:
             pass  # the owning worker will surface the real error
 

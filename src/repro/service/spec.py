@@ -70,6 +70,36 @@ def _canonical_designs(designs: Sequence[str]) -> tuple[str, ...]:
     return tuple(sorted(seen, key=_DESIGN_RANK.__getitem__))
 
 
+def _check_count(
+    name: str, value: Any, upper: Optional[int] = None
+) -> None:
+    """Reject anything but an int in ``[1, upper]`` for field ``name``
+    (``bool`` is an ``int`` subclass, so it is named explicitly)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(
+            f"{name} must be a positive integer, got {value!r}"
+        )
+    if value <= 0:
+        raise ConfigError(f"{name} must be positive, got {value}")
+    if upper is not None and value > upper:
+        raise ConfigError(
+            f"{name} must be <= {upper} (columns per DRAM row), "
+            f"got {value}"
+        )
+
+
+def _columns_per_row(geometry: Mapping[str, Any]) -> int:
+    """Columns per row of the geometry a spec resolves to."""
+    if "row_bytes" in geometry or "column_bytes" in geometry:
+        try:
+            return dataclasses.replace(
+                DEFAULT_GEOMETRY, **geometry
+            ).columns_per_row
+        except (ConfigError, TypeError, ValueError):
+            pass  # resolve() reports the bad override itself
+    return DEFAULT_GEOMETRY.columns_per_row
+
+
 def _check_overrides(
     overrides: Mapping[str, Any], allowed: frozenset, what: str
 ) -> dict:
@@ -166,8 +196,7 @@ class SimJobSpec:
             object.__setattr__(
                 self, "batch", DEFAULT_BATCH[self.network]
             )
-        if self.batch <= 0:
-            raise ConfigError(f"batch must be positive, got {self.batch}")
+        _check_count("batch", self.batch)
         if self.precision not in PRECISIONS:
             raise ConfigError(
                 f"unknown precision {self.precision!r}; choose from "
@@ -177,11 +206,6 @@ class SimJobSpec:
             raise ConfigError(
                 f"unknown timing preset {self.timing!r}; choose from "
                 f"{tuple(PRESETS)}"
-            )
-        if self.columns_per_stripe <= 0:
-            raise ConfigError(
-                "columns_per_stripe must be positive, got "
-                f"{self.columns_per_stripe}"
             )
         if not isinstance(self.validate, bool):
             raise ConfigError(
@@ -213,6 +237,13 @@ class SimJobSpec:
             self,
             "geometry",
             _check_overrides(self.geometry, _GEOMETRY_FIELDS, "geometry"),
+        )
+        # A stripe wider than a row fails kernel compilation inside the
+        # worker; reject it here, against the row the job will use.
+        _check_count(
+            "columns_per_stripe",
+            self.columns_per_stripe,
+            _columns_per_row(self.geometry),
         )
         # Canonicalize the channel count: an explicit field wins, a
         # ``geometry`` override folds into the field, and omission

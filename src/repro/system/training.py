@@ -233,10 +233,9 @@ class TrainingSimulator:
         """Simulate one training step of ``network`` on every design."""
         if isinstance(network, str):
             network = build_network(network)
-        profiles = {
-            d: self.update_model.profile(d, self.optimizer, self.precision)
-            for d in self.designs
-        }
+        profiles = self.update_model.profiles(
+            self.optimizer, self.precision, self.designs
+        )
         bandwidth = self.offchip_bandwidth()
 
         per_design_layers: dict[DesignPoint, list[PhaseTimes]] = {}

@@ -29,6 +29,18 @@ instance serves arbitrarily many jobs. ``benchmarks/bench_profile.py``
 and ``benchmarks/bench_scheduler.py`` track the timings in
 ``BENCH_profile.json`` / ``BENCH_scheduler.json``.
 
+Built command streams live for one profiling burst only.
+``profiles(optimizer, precision, designs)`` — what
+``TrainingSimulator.simulate`` and the service pool's warm-up call —
+shares each stream across the sibling designs that compile the same
+kernel (Baseline / TensorDIMM, GradPIM-DR / GradPIM-BD) and across
+their periodic warm rungs, then drops them all on return; a lone
+``profile()`` builds its own. Only the small finished profiles are
+memoized on the model: a service worker keeps one model per substrate
+for its whole life, and streams retained there (hundreds of thousands
+of ``Command`` objects) would be walked by every full pass of Python's
+cycle collector while never being reused.
+
 Steady-state extrapolation (``engine="periodic"``)
 --------------------------------------------------
 
@@ -59,8 +71,7 @@ settle, phase patterns that never stabilise — the model transparently
 falls back to simulating the full stream, and the trace validator runs
 on whatever was actually simulated. The model's ``report`` — an
 :class:`~repro.obs.report.EngineReport` flight recorder — records
-which path served each profile and *why* fallbacks happened
-(``periodic_report`` survives as a deprecated property view over it).
+which path served each profile and *why* fallbacks happened.
 """
 
 from __future__ import annotations
@@ -68,7 +79,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro import faults
 from repro.dram.commands import CommandType
@@ -226,29 +237,6 @@ class UpdatePhaseModel:
         #: scheduling paths. See :class:`repro.obs.report.EngineReport`.
         self.report = EngineReport(engine=engine)
         self._cache: dict[tuple, UpdateProfile] = {}
-        # Generated streams, shared across design points that compile
-        # the same kernel (GradPIM-DR / GradPIM-BD differ only in how
-        # commands are issued; Baseline / TensorDIMM likewise).
-        # Bounded FIFO: reuse happens within one profiling burst (the
-        # sibling design, the warm-escalation rungs), while finished
-        # profiles are memoized separately — unbounded retention of
-        # command lists would leak in long-lived service workers.
-        self._streams: dict[tuple, object] = {}
-
-    # ------------------------------------------------------------------
-    @property
-    def periodic_report(self) -> dict:
-        """Deprecated view over :attr:`report` (the historical dict).
-
-        Kept so pre-flight-recorder callers keep working; new code
-        should read ``model.report`` (richer: fallback reasons,
-        escalation rungs, lock outcomes, scheduling paths).
-        """
-        return {
-            "fast_path": self.report.fast_path,
-            "fallback": self.report.fallback,
-            "warm_runs": self.report.warm_runs,
-        }
 
     # ------------------------------------------------------------------
     @property
@@ -270,6 +258,8 @@ class UpdatePhaseModel:
         design: DesignPoint,
         optimizer,
         precision: PrecisionConfig = PRECISION_8_32,
+        *,
+        streams: Optional[dict] = None,
     ) -> UpdateProfile:
         """Measure (or fetch the cached) profile for one design point.
 
@@ -278,7 +268,15 @@ class UpdatePhaseModel:
         name: hyperparameters change the compiled command stream
         (e.g. ``weight_decay=0`` drops a scaled-load term), so one
         shared model can safely serve jobs with different optimizers.
+
+        ``streams`` is the caller's scope for built streams (see
+        :meth:`profiles`, which passes one dict to every sibling
+        design): a stream already built there is reused, and it dies
+        with the caller's dict. Without it, a miss builds its own
+        streams and drops them on return.
         """
+        if streams is None:
+            streams = {}
         key = (design, _optimizer_key(optimizer), precision.name)
         cached = self._cache.get(key)
         if cached is not None:
@@ -300,7 +298,7 @@ class UpdatePhaseModel:
                 if self.channel_workers == 1:
                     steady_attempted = True
                     profile, reason = self._profile_steady(
-                        design, config, optimizer, precision
+                        design, config, optimizer, precision, streams
                     )
                     if profile is None:
                         self.report.record_fallback(reason)
@@ -317,6 +315,7 @@ class UpdatePhaseModel:
                     config,
                     optimizer,
                     precision,
+                    streams,
                     # A failed steady lock already told us the stream
                     # does not reward periodic bookkeeping; simulate
                     # the full stream on the plain incremental engine
@@ -329,12 +328,14 @@ class UpdatePhaseModel:
         return profile
 
     def _profile_simulated(
-        self, design, config, optimizer, precision,
+        self, design, config, optimizer, precision, streams,
         scheduler_engine=None,
     ) -> UpdateProfile:
         """Schedule the full sample stream and derive the profile."""
         with span("model.build_stream", design=design.value):
-            built = self._build_stream(config, optimizer, precision)
+            built = self._build_stream(
+                config, optimizer, precision, streams=streams
+            )
         (commands, n_params, offchip_accesses, dependents, period,
          artifact) = built
         channels = config.effective_channels(self.geometry)
@@ -447,14 +448,6 @@ class UpdatePhaseModel:
             offchip_accesses,
         )
 
-    #: Generated streams kept for reuse (see ``_streams``).
-    STREAM_CACHE_MAX = 8
-
-    def _cache_stream(self, key: tuple, stream) -> None:
-        self._streams[key] = stream
-        while len(self._streams) > self.STREAM_CACHE_MAX:
-            self._streams.pop(next(iter(self._streams)))
-
     # ------------------------------------------------------------------
     #: Warm-sample escalation ladder: sweeps per packed (ratio-grouped)
     #: phase. Each attempt compiles and schedules a warm stream of
@@ -473,7 +466,7 @@ class UpdatePhaseModel:
     WARM_SWEEPS_AOS = (12, 24, 32)
 
     def _profile_steady(
-        self, design, config, optimizer, precision
+        self, design, config, optimizer, precision, streams
     ) -> tuple[Optional[UpdateProfile], Optional[str]]:
         """Extrapolate the profile from a warm sample (module docstring).
 
@@ -538,8 +531,8 @@ class UpdatePhaseModel:
                 continue
             tried.add(k_warm)
             extended = self._extrapolate_from_warm(
-                design, config, optimizer, precision, k_warm, k_full,
-                reasons,
+                design, config, optimizer, precision, streams, k_warm,
+                k_full, reasons,
             )
             if extended is None:
                 continue
@@ -579,8 +572,8 @@ class UpdatePhaseModel:
         return None, reason
 
     def _extrapolate_from_warm(
-        self, design, config, optimizer, precision, k_warm, k_full,
-        reasons: set,
+        self, design, config, optimizer, precision, streams, k_warm,
+        k_full, reasons: set,
     ):
         """One warm run: returns ``(stats, n_params, offchip)`` on a
         clean lock, a realigned warm width (int) when a super-period
@@ -590,7 +583,8 @@ class UpdatePhaseModel:
             "model.build_stream", design=design.value, warm=k_warm
         ):
             built = self._build_stream(
-                config, optimizer, precision, columns_per_stripe=k_warm
+                config, optimizer, precision, columns_per_stripe=k_warm,
+                streams=streams,
             )
         commands, n_params, offchip_accesses, dependents, period, _ = built
         if period is None or not period.segments:
@@ -744,12 +738,21 @@ class UpdatePhaseModel:
         )
 
     def profiles(
-        self, optimizer, precision: PrecisionConfig = PRECISION_8_32
+        self,
+        optimizer,
+        precision: PrecisionConfig = PRECISION_8_32,
+        designs: Optional[Sequence[DesignPoint]] = None,
     ) -> dict[DesignPoint, UpdateProfile]:
-        """Profiles for every design point."""
+        """Profiles for ``designs`` (default: every design point).
+
+        One profiling burst: sibling designs that compile the same
+        kernel (Baseline / TensorDIMM, GradPIM-DR / GradPIM-BD) build
+        it once, and every built stream is dropped on return.
+        """
+        streams: dict[tuple, object] = {}
         return {
-            point: self.profile(point, optimizer, precision)
-            for point in DESIGNS
+            point: self.profile(point, optimizer, precision, streams=streams)
+            for point in (DESIGNS if designs is None else designs)
         }
 
     # ------------------------------------------------------------------
@@ -759,6 +762,7 @@ class UpdatePhaseModel:
         optimizer,
         precision: PrecisionConfig,
         columns_per_stripe: Optional[int] = None,
+        streams: Optional[dict] = None,
     ):
         """Returns (commands, params represented, off-chip accesses,
         dependent-command adjacency, stripe-period metadata, artifact).
@@ -769,7 +773,12 @@ class UpdatePhaseModel:
         ``"columnar"`` engine schedules (and memoizes issue cycles) on.
 
         ``columns_per_stripe`` overrides the model's sample width (the
-        steady-state fast path uses it to build warm samples)."""
+        steady-state fast path uses it to build warm samples).
+        ``streams`` is the caller's burst scope (see :meth:`profile`):
+        a stream already built there is reused, a new one is added;
+        without it every call builds afresh."""
+        if streams is None:
+            streams = {}
         columns = (
             self.columns_per_stripe
             if columns_per_stripe is None
@@ -783,7 +792,7 @@ class UpdatePhaseModel:
                 "stream", _optimizer_key(optimizer), precision.name,
                 columns,
             )
-            stream = self._streams.get(key)
+            stream = streams.get(key)
             if stream is None:
                 stream = BaselineStreamGenerator(self.geometry).generate(
                     optimizer,
@@ -791,7 +800,7 @@ class UpdatePhaseModel:
                     columns_per_stripe=columns,
                     fused=self.fused_baseline,
                 )
-                self._cache_stream(key, stream)
+                streams[key] = stream
             n_params = stream.n_hp_columns * hp_lanes
             # Only the direct-attached baseline's accesses cross the
             # channel; TensorDIMM's stay behind the buffer devices.
@@ -812,7 +821,7 @@ class UpdatePhaseModel:
             key = (
                 "pim", _optimizer_key(optimizer), precision.name, columns,
             )
-            kernel = self._streams.get(key)
+            kernel = streams.get(key)
             if kernel is None:
                 kernel = UpdateKernelCompiler(
                     self.geometry, extended_alu=self.extended_alu
@@ -822,7 +831,7 @@ class UpdatePhaseModel:
                     columns_per_stripe=columns,
                     fuse_quantize=self.fuse_quantize,
                 )
-                self._cache_stream(key, kernel)
+                streams[key] = kernel
             return (
                 kernel.commands,
                 kernel.n_hp_columns * hp_lanes,
@@ -836,7 +845,7 @@ class UpdatePhaseModel:
                 "aos", config.per_bank_pim, _optimizer_key(optimizer),
                 precision.name, columns,
             )
-            kernel = self._streams.get(key)
+            kernel = streams.get(key)
             if kernel is None:
                 kernel = AoSKernelGenerator(
                     self.geometry, per_bank=config.per_bank_pim
@@ -845,7 +854,7 @@ class UpdatePhaseModel:
                     precision,
                     columns_per_unit=columns,
                 )
-                self._cache_stream(key, kernel)
+                streams[key] = kernel
             return (
                 kernel.commands,
                 kernel.total_params,

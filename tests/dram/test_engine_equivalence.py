@@ -364,18 +364,21 @@ class TestSyntheticStreamProperties:
     @given(
         commands=synthetic_streams(),
         window=st.integers(min_value=1, max_value=24),
-        buffered=st.booleans(),
+        issue=st.sampled_from(["direct", "buffered", "per-dimm"]),
         scope=st.sampled_from(["channel", "dimm", "rank"]),
         per_bank=st.booleans(),
     )
     def test_equivalent_on_random_streams(
-        self, commands, window, buffered, scope, per_bank
+        self, commands, window, issue, scope, per_bank
     ):
-        issue_model = (
-            IssueModel.buffered(GEOM.ranks)
-            if buffered
-            else IssueModel.direct(GEOM.ranks)
-        )
+        # per-dimm is TensorDIMM's issue model: two ranks per port, and
+        # under the dimm scope one bus per port; under the channel
+        # scope one bus spans ports, so a burst must rescan them all.
+        issue_model = {
+            "direct": IssueModel.direct(GEOM.ranks),
+            "buffered": IssueModel.buffered(GEOM.ranks),
+            "per-dimm": DESIGNS[DesignPoint.TENSORDIMM].issue_model(GEOM),
+        }[issue]
         _assert_equivalent(
             commands,
             issue_model=issue_model,

@@ -1,4 +1,4 @@
-"""EngineReport serde, merge, diff, and the periodic_report shim."""
+"""EngineReport serde, merge and diff."""
 
 from __future__ import annotations
 
@@ -68,14 +68,3 @@ def test_diff_dicts_none_when_nothing_happened():
     snap = _sample().to_dict()
     assert EngineReport.diff_dicts(snap, snap) is None
 
-
-def test_periodic_report_shim_pins_legacy_keys(update_model):
-    """Regression: the deprecated ``periodic_report`` property must
-    keep exposing the original dict keys, backed by the new report."""
-    legacy = update_model.periodic_report
-    assert set(legacy) == {"fast_path", "fallback", "warm_runs"}
-    assert legacy["fast_path"] == update_model.report.fast_path
-    assert legacy["fallback"] == update_model.report.fallback
-    assert legacy["warm_runs"] == update_model.report.warm_runs
-    # The exact idiom bench_profile.py uses must keep working.
-    assert isinstance(dict(update_model.periodic_report), dict)

@@ -105,6 +105,17 @@ class TestPostJobs:
         assert status == 400
         assert "NoSuchNet" in json.loads(body)["error"]
 
+    def test_out_of_range_stripe_400(self, live_server):
+        """A stripe wider than a DRAM row is a typed 400 at the edge,
+        not a worker-side CompileError."""
+        _, client = live_server()
+        status, _, body = client._request(
+            "POST", "/v1/jobs",
+            {"network": "MLP1", "columns_per_stripe": 256},
+        )
+        assert status == 400
+        assert "columns_per_stripe" in json.loads(body)["error"]
+
     def test_bad_json_400(self, live_server):
         server, _ = live_server()
         request = urllib.request.Request(

@@ -179,6 +179,55 @@ class TestValidation:
         with pytest.raises(ConfigError, match="batch"):
             SimJobSpec(network="MLP1", batch=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("batch", True),
+            ("batch", "8"),
+            ("batch", 8.0),
+            ("batch", -3),
+            ("columns_per_stripe", "8"),
+            ("columns_per_stripe", True),
+            ("columns_per_stripe", 0),
+            ("columns_per_stripe", 129),
+            ("columns_per_stripe", 256),
+            ("columns_per_stripe", 1e9),
+        ],
+    )
+    def test_bad_counts_rejected_naming_the_field(self, field, value):
+        """Regression: a bool batch used to simulate as batch 1, a
+        string stripe width leaked a raw TypeError, and a stripe wider
+        than a row (128 columns) passed the spec only to fail inside
+        the worker with a CompileError."""
+        with pytest.raises(ConfigError, match=field):
+            SimJobSpec.from_dict({"network": "MLP1", field: value})
+
+    def test_stripe_width_bounds_are_inclusive(self):
+        for width in (1, 128):
+            assert SimJobSpec(
+                network="MLP1", columns_per_stripe=width
+            ).columns_per_stripe == width
+
+    def test_stripe_bound_follows_a_wider_row_override(self):
+        spec = SimJobSpec(
+            network="MLP1", columns_per_stripe=200,
+            geometry={"row_bytes": 16384},
+        )
+        assert spec.resolve().geometry.columns_per_row == 256
+
+    def test_valid_specs_keep_their_content_hashes(self):
+        """The edge checks reject more input but change no address."""
+        assert SimJobSpec(network="MLP1").content_hash() == (
+            "6dfbf5fee10157ea7289671e22226b4b"
+            "4638fc55fc454ade5415cec465056006"
+        )
+        assert SimJobSpec(
+            network="ResNet18", batch=16, columns_per_stripe=128
+        ).content_hash() == (
+            "f5d7df450d5444f0c87b7cefc5489dc6"
+            "db2f938711bdd6ff98171ba1683ff288"
+        )
+
 
 class TestChannels:
     def test_ddr4_default_is_one_channel(self):

@@ -138,3 +138,58 @@ class TestProfileMechanics:
         assert p.update_seconds(2e6) == pytest.approx(
             2 * p.update_seconds(1e6)
         )
+
+
+class TestJobScopedStreams:
+    """Built command streams live for one profiling burst only."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Count kernel-generator calls; keep a weak reference to every
+        stream they build."""
+        import weakref
+
+        from repro.system import update_model as module
+
+        refs = []
+
+        def counting(cls, method):
+            original = getattr(cls, method)
+
+            def wrapper(self, *args, **kwargs):
+                artifact = original(self, *args, **kwargs)
+                refs.append(weakref.ref(artifact))
+                return artifact
+
+            monkeypatch.setattr(cls, method, wrapper)
+
+        counting(module.BaselineStreamGenerator, "generate")
+        counting(module.UpdateKernelCompiler, "compile")
+        counting(module.AoSKernelGenerator, "generate")
+        return refs
+
+    def _simulate(self, momentum_optimizer):
+        from repro.system.training import TrainingSimulator
+        from repro.system.update_model import UpdatePhaseModel
+
+        model = UpdatePhaseModel(columns_per_stripe=8)
+        TrainingSimulator(
+            optimizer=momentum_optimizer, update_model=model
+        ).simulate("MLP1")
+        return model
+
+    def test_six_design_job_builds_each_kernel_once(
+        self, built, momentum_optimizer
+    ):
+        """Baseline/TensorDIMM share one stream and GradPIM-DR/BD one
+        kernel; the two AoS variants differ: 4 builds for 6 designs."""
+        self._simulate(momentum_optimizer)
+        assert len(built) == 4
+
+    def test_no_stream_outlives_simulate(self, built, momentum_optimizer):
+        import gc
+
+        model = self._simulate(momentum_optimizer)
+        gc.collect()
+        assert built and all(ref() is None for ref in built)
+        assert len(model._cache) == 6  # the profiles stay memoized
